@@ -206,9 +206,9 @@ func parallelSection(flagWorkers int) error {
 		if err != nil {
 			return err
 		}
-		fmt.Printf("  workers=%d  elapsed=%-12v bugs=%d paths=%-4d queries=%-5d cache hits=%d evictions=%d\n",
+		fmt.Printf("  workers=%d  elapsed=%-12v bugs=%d paths=%-4d queries=%-5d unknown=%d cache hits=%d evictions=%d\n",
 			w, time.Since(start).Round(time.Microsecond), len(rep.Bugs), rep.PathsExplored,
-			rep.SolverQueries, rep.SolverCacheHits, rep.SolverCacheEvictions)
+			rep.SolverQueries, rep.SolverUnknown, rep.SolverCacheHits, rep.SolverCacheEvictions)
 	}
 	return nil
 }

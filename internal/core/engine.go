@@ -132,6 +132,7 @@ type Engine struct {
 	bugs          []*Bug
 	paths         int
 	workerQueries uint64 // solver queries by retired parallel workers
+	workerUnknown uint64 // their queries answered Unknown
 	phaseStats    []PhaseStat
 
 	// notify, during a parallel explore, wakes workers blocked on an empty
@@ -407,6 +408,7 @@ func (e *Engine) Explore(ctx context.Context, entryName string) PhaseResult {
 		e.mu.Lock()
 		for _, c := range ectxs {
 			e.workerQueries += c.Solver.Stats.Queries
+			e.workerUnknown += c.Solver.Stats.UnknownAns
 		}
 		// Completion order is schedule-dependent; canonicalize by state ID
 		// so KeepStates selection (and everything downstream) is ordered by
@@ -589,7 +591,7 @@ func (e *Engine) Report() *Report {
 	e.mu.Lock()
 	bugs := append([]*Bug(nil), e.bugs...)
 	paths := e.paths
-	queries := e.workerQueries
+	queries, unknown := e.workerQueries, e.workerUnknown
 	phases := append([]PhaseStat(nil), e.phaseStats...)
 	e.mu.Unlock()
 	cs := e.cache.Stats()
@@ -606,6 +608,7 @@ func (e *Engine) Report() *Report {
 		BlocksCovered:        e.Cov.Blocks(),
 		BlocksStatic:         e.Cov.TotalStatic,
 		SolverQueries:        e.M.Solver.Stats.Queries + queries,
+		SolverUnknown:        e.M.Solver.Stats.UnknownAns + unknown,
 		SolverCacheHits:      cs.Hits,
 		SolverCacheEvictions: cs.Evictions,
 		Workers:              workers,

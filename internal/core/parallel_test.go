@@ -1,8 +1,10 @@
 package core
 
 import (
+	"fmt"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 
 	"repro/internal/corpus"
@@ -158,4 +160,23 @@ func TestParallelReportsCacheStats(t *testing.T) {
 	// the fields exist and the query aggregate includes worker solvers.
 	t.Logf("queries=%d hits=%d evictions=%d",
 		rep.SolverQueries, rep.SolverCacheHits, rep.SolverCacheEvictions)
+}
+
+// TestSolverUnknownReported: queries the solver can neither prove nor
+// refute are counted in the report, sequential and summed over parallel
+// workers. intel-pro100 has such queries: a flag bit clear while the byte
+// holding it equals an odd constant, which interval and range reasoning
+// cannot refute.
+func TestSolverUnknownReported(t *testing.T) {
+	for _, workers := range []int{1, 2} {
+		opts := DefaultOptions()
+		opts.Workers = workers
+		rep := runDDT(t, "intel-pro100", corpus.Buggy, opts)
+		if rep.SolverUnknown == 0 || rep.SolverUnknown > rep.SolverQueries {
+			t.Errorf("workers=%d: %d unknown of %d queries", workers, rep.SolverUnknown, rep.SolverQueries)
+		}
+		if want := fmt.Sprintf("%d unknown", rep.SolverUnknown); !strings.Contains(rep.String(), want) {
+			t.Errorf("workers=%d: report does not show %q", workers, want)
+		}
+	}
 }

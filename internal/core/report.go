@@ -84,6 +84,11 @@ type Report struct {
 	// SolverQueries etc. for the efficiency section.
 	SolverQueries uint64
 	SymbolsMade   int
+	// SolverUnknown counts the queries the solver could neither prove nor
+	// refute. The exerciser treats such a branch side as infeasible, so
+	// each one is coverage silently lost; a repeat answered from the cache
+	// is not counted again.
+	SolverUnknown uint64
 	// SolverCacheHits / SolverCacheEvictions measure the shared query
 	// cache: under parallel exploration one worker's Sat/Unsat answer is a
 	// hit for every other worker, which is where the shared-cache speedup
@@ -157,8 +162,8 @@ func (r *Report) String() string {
 		r.PathsExplored, r.StatesForked, r.Instructions, r.Workers)
 	fmt.Fprintf(&sb, "  coverage: %d/%d basic blocks (%.0f%%)\n",
 		r.BlocksCovered, r.BlocksStatic, 100*r.RelativeCoverage())
-	fmt.Fprintf(&sb, "  solver: %d queries, %d cache hits, %d evictions\n",
-		r.SolverQueries, r.SolverCacheHits, r.SolverCacheEvictions)
+	fmt.Fprintf(&sb, "  solver: %d queries, %d unknown, %d cache hits, %d evictions\n",
+		r.SolverQueries, r.SolverUnknown, r.SolverCacheHits, r.SolverCacheEvictions)
 	if r.Pipelined {
 		sb.WriteString("  pipelined phases (exited/succ/promoted, peak in-flight/queued):\n")
 		for _, p := range r.Phases {

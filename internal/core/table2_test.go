@@ -1,6 +1,7 @@
 package core
 
 import (
+	"maps"
 	"sort"
 	"testing"
 
@@ -131,6 +132,29 @@ func TestDeterminism(t *testing.T) {
 	for i := range a.Bugs {
 		if a.Bugs[i].Key() != b.Bugs[i].Key() {
 			t.Errorf("bug %d differs: %s vs %s", i, a.Bugs[i].Key(), b.Bugs[i].Key())
+		}
+	}
+}
+
+// TestBugModelsDeterministic: two sequential sessions of every buggy
+// corpus driver report the same bugs with the same models. A model is the
+// first one the solver's search finds, so this pins that the search order
+// depends on the constraints alone, not on map iteration.
+func TestBugModelsDeterministic(t *testing.T) {
+	opts := DefaultOptions()
+	opts.Workers = 1
+	for _, name := range corpus.Names() {
+		a := runDDT(t, name, corpus.Buggy, opts)
+		b := runDDT(t, name, corpus.Buggy, opts)
+		if len(a.Bugs) != len(b.Bugs) {
+			t.Errorf("%s: %d bugs, then %d", name, len(a.Bugs), len(b.Bugs))
+			continue
+		}
+		for i := range a.Bugs {
+			if a.Bugs[i].Key() != b.Bugs[i].Key() || !maps.Equal(a.Bugs[i].Model, b.Bugs[i].Model) {
+				t.Errorf("%s: bug %d is %s %v, then %s %v", name, i,
+					a.Bugs[i].Key(), a.Bugs[i].Model, b.Bugs[i].Key(), b.Bugs[i].Model)
+			}
 		}
 	}
 }

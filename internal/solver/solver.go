@@ -5,16 +5,23 @@
 // Device-driver path constraints live in a narrow fragment: comparisons of
 // symbolic inputs (hardware register reads, registry values, packet bytes)
 // against constants, simple linear offsets, bit masks, and boolean
-// combinations thereof. The solver is sound always (a Sat answer comes with
-// a model that is verified by evaluation; an Unsat answer is only produced
-// by sound interval reasoning) and complete in practice for this fragment
-// via exhaustive candidate-set search and randomized probing. Answers it
-// cannot decide are reported as Unknown, which DDT's exerciser treats as
-// "do not explore" (a coverage loss, never a false positive — matching the
-// paper's accuracy discipline).
+// combinations thereof. The solver is sound always: a Sat answer comes with
+// a model that satisfies every constraint by construction of the search,
+// and an Unsat answer comes from sound reasoning — interval propagation
+// narrowing some symbol to nothing, range evaluation (rangeOf) showing a
+// constraint is 0 over the whole box of symbol intervals, or an exhausted
+// boundary-candidate search over a fragment where the candidates are
+// complete. It is complete in practice for this fragment via exhaustive
+// candidate-set search, greedy repair and randomized probing, all of which
+// run over the query compiled into flat register programs (prog). Answers
+// it cannot decide are reported as Unknown, which DDT's exerciser treats
+// as "do not explore" (a coverage loss, never a false positive — matching
+// the paper's accuracy discipline).
 package solver
 
 import (
+	"slices"
+
 	"repro/internal/expr"
 )
 
@@ -64,6 +71,17 @@ type Solver struct {
 	// MaxProduct bounds the exhaustive candidate cross-product.
 	MaxProduct int
 	Stats      Stats
+
+	// Per-query scratch, reused across queries so that steady-state
+	// solving does not grow the heap.
+	ivs       map[expr.SymID]interval
+	ranges    map[*expr.Expr]interval
+	prog      prog
+	seen      wordSet
+	constList []uint32
+	pool      []uint32
+	cands     [][]uint32
+	slotIvs   []interval
 }
 
 // New returns a Solver with default limits and a private query cache.
@@ -181,7 +199,11 @@ func (s *Solver) solve(cs []*expr.Expr) (Result, expr.Assignment) {
 	syms := collectSymbols(cs)
 
 	// Interval propagation: sound narrowing of per-symbol unsigned ranges.
-	ivs := make(map[expr.SymID]interval, len(syms))
+	if s.ivs == nil {
+		s.ivs = make(map[expr.SymID]interval)
+	}
+	ivs := s.ivs
+	clear(ivs)
 	for _, id := range syms {
 		ivs[id] = fullInterval()
 	}
@@ -199,34 +221,43 @@ func (s *Solver) solve(cs []*expr.Expr) (Result, expr.Assignment) {
 		}
 	}
 
-	// Candidate construction.
+	// Range evaluation: a constraint that is 0 over the whole box the
+	// intervals describe has no model.
+	clear(s.ranges)
+	for _, c := range cs {
+		if s.rangeOf(c, ivs).hi == 0 {
+			return Unsat, nil
+		}
+	}
+
 	cands := s.candidates(cs, syms, ivs)
+	p := &s.prog
+	p.compile(cs, syms)
 
 	// Exhaustive search over the candidate cross-product when small.
 	product := 1
-	for _, id := range syms {
-		product *= len(cands[id])
+	for _, vs := range cands {
+		product *= len(vs)
 		if product > s.MaxProduct {
 			product = -1
 			break
 		}
 	}
 	if product > 0 {
-		if m := exhaustive(cs, syms, cands); m != nil {
-			return Sat, m
+		if p.exhaustive(cands) {
+			return Sat, p.model(syms)
 		}
 		// The candidate sets cover every comparison boundary. For the
 		// supported fragment exhaustive failure strongly suggests Unsat,
 		// but wide multiplications etc. can escape the boundaries, so fall
-		// through to probing before giving up.
+		// through to probing before giving up. Greedy repair only tries
+		// candidate values, all of which exhaustive search has just
+		// ruled out, so it is skipped.
+	} else if p.greedy(cands) {
+		return Sat, p.model(syms)
 	}
-
-	// Greedy repair from each candidate seed, then randomized probing.
-	if m := s.greedy(cs, syms, cands); m != nil {
-		return Sat, m
-	}
-	if m := s.probe(cs, syms, ivs, cands); m != nil {
-		return Sat, m
+	if s.probe(syms, cands) {
+		return Sat, p.model(syms)
 	}
 	if product > 0 {
 		// Exhaustive over boundary candidates + probing both failed; for
@@ -258,223 +289,187 @@ func collectSymbols(cs []*expr.Expr) []expr.SymID {
 	return out
 }
 
-func satisfies(cs []*expr.Expr, a expr.Assignment) bool {
-	for _, c := range cs {
-		if expr.Eval(c, a) == 0 {
-			return false
-		}
+// probe tries random assignments, drawn per slot from the candidates,
+// small and medium values, and the symbol's interval, and leaves the first
+// model in the slots.
+func (s *Solver) probe(syms []expr.SymID, cands [][]uint32) bool {
+	p := &s.prog
+	s.slotIvs = s.slotIvs[:0]
+	for _, id := range syms {
+		s.slotIvs = append(s.slotIvs, s.ivs[id])
 	}
-	return true
-}
-
-func exhaustive(cs []*expr.Expr, syms []expr.SymID, cands map[expr.SymID][]uint32) expr.Assignment {
-	a := make(expr.Assignment, len(syms))
-	var rec func(i int) bool
-	rec = func(i int) bool {
-		if i == len(syms) {
-			return satisfies(cs, a)
-		}
-		id := syms[i]
-		for _, v := range cands[id] {
-			a[id] = v
-			if rec(i + 1) {
-				return true
-			}
-		}
-		return false
-	}
-	if rec(0) {
-		return a
-	}
-	return nil
-}
-
-// greedy starts from seed assignments and repairs one symbol at a time,
-// maximizing the number of satisfied constraints.
-func (s *Solver) greedy(cs []*expr.Expr, syms []expr.SymID, cands map[expr.SymID][]uint32) expr.Assignment {
-	count := func(a expr.Assignment) int {
-		n := 0
-		for _, c := range cs {
-			if expr.Eval(c, a) != 0 {
-				n++
-			}
-		}
-		return n
-	}
-	seeds := []uint32{0, 1, 0xFFFFFFFF}
-	for _, seed := range seeds {
-		a := make(expr.Assignment, len(syms))
-		for _, id := range syms {
-			// Prefer an in-candidate seed value.
-			vs := cands[id]
-			a[id] = vs[0]
-			for _, v := range vs {
-				if v == seed {
-					a[id] = v
-					break
-				}
-			}
-		}
-		best := count(a)
-		for round := 0; round < 8 && best < len(cs); round++ {
-			improved := false
-			for _, id := range syms {
-				old := a[id]
-				bestV, bestN := old, best
-				for _, v := range cands[id] {
-					a[id] = v
-					if n := count(a); n > bestN {
-						bestN, bestV = n, v
-					}
-				}
-				a[id] = bestV
-				if bestN > best {
-					best = bestN
-					improved = true
-				}
-			}
-			if !improved {
-				break
-			}
-		}
-		if best == len(cs) {
-			return a
-		}
-	}
-	return nil
-}
-
-func (s *Solver) probe(cs []*expr.Expr, syms []expr.SymID, ivs map[expr.SymID]interval, cands map[expr.SymID][]uint32) expr.Assignment {
-	a := make(expr.Assignment, len(syms))
 	for try := 0; try < s.MaxProbes; try++ {
 		s.Stats.Probes++
-		for _, id := range syms {
+		for slot, iv := range s.slotIvs {
 			r := s.rand()
 			var v uint32
 			switch r % 4 {
 			case 0: // candidate value
-				vs := cands[id]
+				vs := cands[slot]
 				v = vs[int(r>>8)%len(vs)]
 			case 1: // small value
 				v = uint32(r>>8) & 0xFF
 			case 2: // medium value
 				v = uint32(r>>8) & 0xFFFF
 			default: // anywhere in the interval
-				iv := ivs[id]
 				span := uint64(iv.hi-iv.lo) + 1
 				v = iv.lo + uint32(uint64(r>>8)%span)
 			}
-			iv := ivs[id]
 			if !iv.contains(v) {
 				v = iv.lo
 			}
-			a[id] = v
+			p.regs[slot] = v
 		}
-		if satisfies(cs, a) {
-			return a
+		if p.all() {
+			return true
 		}
 	}
-	return nil
+	return false
 }
 
-// candidates builds, per symbol, the set of "interesting" values: interval
-// endpoints, comparison boundaries found anywhere in the constraints, and
-// the usual suspects (0, 1, all-ones, sign boundaries), each with ±1
-// neighbours, filtered to the symbol's interval.
-func (s *Solver) candidates(cs []*expr.Expr, syms []expr.SymID, ivs map[expr.SymID]interval) map[expr.SymID][]uint32 {
-	consts := make(map[uint32]bool)
+// candidates builds, per symbol slot, the set of "interesting" values:
+// interval endpoints, comparison boundaries found anywhere in the
+// constraints, and the usual suspects (0, 1, all-ones, sign boundaries),
+// each with ±1 neighbours, filtered to the symbol's interval. The order is
+// a function of the constraints alone — the harvested constants are sorted
+// — so the first model a search finds does not depend on map iteration.
+func (s *Solver) candidates(cs []*expr.Expr, syms []expr.SymID, ivs map[expr.SymID]interval) [][]uint32 {
+	cl := s.constList[:0]
 	for _, c := range cs {
-		collectConsts(c, consts)
+		cl = collectConsts(c, cl)
 	}
-	base := []uint32{0, 1, 2, 0x7FFFFFFF, 0x80000000, 0xFFFFFFFF}
-	var pool []uint32
-	pool = append(pool, base...)
-	for v := range consts {
-		pool = append(pool, v, v+1, v-1)
+	slices.Sort(cl)
+	cl = slices.Compact(cl)
+	s.constList = cl
+
+	// The pool in first-occurrence order, without repeats.
+	pairwise := len(cl) <= 24
+	n := 6 + 3*len(cl)
+	if pairwise {
+		n += len(cl) * len(cl)
+	}
+	s.seen.reset(n)
+	pool := s.pool[:0]
+	add := func(v uint32) {
+		if s.seen.add(v) {
+			pool = append(pool, v)
+		}
+	}
+	for _, v := range [...]uint32{0, 1, 2, 0x7FFFFFFF, 0x80000000, 0xFFFFFFFF} {
+		add(v)
+	}
+	for _, v := range cl {
+		add(v)
+		add(v + 1)
+		add(v - 1)
 	}
 	// Pairwise differences catch linear offsets (Eq(c, Add(k, x)) already
 	// folds in the simplifier, but Sub/And compositions may not).
-	if len(consts) <= 24 {
-		cl := make([]uint32, 0, len(consts))
-		for v := range consts {
-			cl = append(cl, v)
-		}
+	if pairwise {
 		for i := range cl {
 			for j := range cl {
 				if i != j {
-					pool = append(pool, cl[i]-cl[j])
+					add(cl[i] - cl[j])
 				}
 			}
 		}
 	}
+	s.pool = pool
 
-	out := make(map[expr.SymID][]uint32, len(syms))
-	for _, id := range syms {
+	// Each slot's list is its interval's endpoints and their inner
+	// neighbours, then the pool values inside the interval. The pool has
+	// no repeats, so only the (at most four) leading values need checking.
+	out := resetLists(s.cands, len(syms))
+	for slot, id := range syms {
 		iv := ivs[id]
-		seen := make(map[uint32]bool)
-		var vs []uint32
-		add := func(v uint32) {
-			if iv.contains(v) && !seen[v] {
-				seen[v] = true
+		vs := out[slot]
+		for _, v := range [...]uint32{iv.lo, iv.hi, iv.lo + 1, iv.hi - 1} {
+			if iv.contains(v) && !slices.Contains(vs, v) {
 				vs = append(vs, v)
 			}
 		}
-		add(iv.lo)
-		add(iv.hi)
-		add(iv.lo + 1)
-		add(iv.hi - 1)
+		head := len(vs)
 		for _, v := range pool {
-			add(v)
+			if iv.contains(v) && !slices.Contains(vs[:head], v) {
+				vs = append(vs, v)
+			}
 		}
-		if len(vs) == 0 {
-			vs = append(vs, iv.lo)
-		}
-		out[id] = vs
+		out[slot] = vs
 	}
+	s.cands = out
 	return out
 }
 
-func collectConsts(e *expr.Expr, out map[uint32]bool) {
-	if e == nil {
-		return
-	}
+// collectConsts appends every constant in e to out, repeats included.
+func collectConsts(e *expr.Expr, out []uint32) []uint32 {
 	// Hash-consed expressions share subtrees; above the same threshold the
 	// expr package uses for symbol collection, skip already-visited
 	// pointers so shared subtrees are walked once. The collected value set
 	// is identical either way.
 	if e.Size() > 64 {
-		collectConstsDAG(e, out, make(map[*expr.Expr]struct{}, 32))
-		return
+		return collectConstsDAG(e, out, make(map[*expr.Expr]struct{}, 32))
 	}
-	collectConstsTree(e, out)
+	return collectConstsTree(e, out)
 }
 
-func collectConstsTree(e *expr.Expr, out map[uint32]bool) {
+func collectConstsTree(e *expr.Expr, out []uint32) []uint32 {
 	if e == nil {
-		return
+		return out
 	}
 	if e.Op == expr.OpConst {
-		out[e.C] = true
-		return
+		return append(out, e.C)
 	}
-	collectConstsTree(e.X, out)
-	collectConstsTree(e.Y, out)
-	collectConstsTree(e.Z, out)
+	out = collectConstsTree(e.X, out)
+	out = collectConstsTree(e.Y, out)
+	return collectConstsTree(e.Z, out)
 }
 
-func collectConstsDAG(e *expr.Expr, out map[uint32]bool, seen map[*expr.Expr]struct{}) {
+func collectConstsDAG(e *expr.Expr, out []uint32, seen map[*expr.Expr]struct{}) []uint32 {
 	if e == nil {
-		return
+		return out
 	}
 	if e.Op == expr.OpConst {
-		out[e.C] = true
-		return
+		return append(out, e.C)
 	}
 	if _, ok := seen[e]; ok {
-		return
+		return out
 	}
 	seen[e] = struct{}{}
-	collectConstsDAG(e.X, out, seen)
-	collectConstsDAG(e.Y, out, seen)
-	collectConstsDAG(e.Z, out, seen)
+	out = collectConstsDAG(e.X, out, seen)
+	out = collectConstsDAG(e.Y, out, seen)
+	return collectConstsDAG(e.Z, out, seen)
+}
+
+// wordSet is an open-addressing set of words with linear probing, reused
+// across queries: resetting it clears one slice, and adding never
+// allocates.
+type wordSet struct {
+	slots []uint64 // v+1; 0 marks an empty slot
+}
+
+// reset empties the set and sizes it for up to n words.
+func (ws *wordSet) reset(n int) {
+	size := 16
+	for size < 2*n {
+		size <<= 1
+	}
+	if cap(ws.slots) < size {
+		ws.slots = make([]uint64, size)
+	}
+	ws.slots = ws.slots[:size]
+	clear(ws.slots)
+}
+
+// add inserts v and reports whether it was absent.
+func (ws *wordSet) add(v uint32) bool {
+	mask := uint64(len(ws.slots) - 1)
+	for i := (uint64(v) * 0x9E3779B97F4A7C15 >> 32) & mask; ; i = (i + 1) & mask {
+		switch ws.slots[i] {
+		case 0:
+			ws.slots[i] = uint64(v) + 1
+			return true
+		case uint64(v) + 1:
+			return false
+		}
+	}
 }

@@ -2,6 +2,7 @@ package vm
 
 import (
 	"fmt"
+	"sync"
 	"sync/atomic"
 
 	"repro/internal/binimg"
@@ -120,6 +121,11 @@ type Machine struct {
 	spanLen []uint32
 
 	nextID atomic.Uint64
+	// forkMu serializes ForkState: forking writes the parent (its memory
+	// and trace move to fresh overlays), and a pipelined scenario graph
+	// can hand one base state to several phases whose workers fork it at
+	// the same time.
+	forkMu sync.Mutex
 
 	// Stats, shared across every ExecContext of this machine.
 	Steps    atomic.Uint64
@@ -258,6 +264,8 @@ func (m *Machine) ForkState(s *State) *State {
 	// forks happen from coordinator threads outside any step dispatch, where
 	// no context is guaranteed to flush (or even be exclusively ours).
 	m.Forks.Add(1)
+	m.forkMu.Lock()
+	defer m.forkMu.Unlock()
 	return s.Fork(m.newID())
 }
 
