@@ -2,6 +2,7 @@ package campaign
 
 import (
 	"context"
+	"runtime"
 	"sync"
 	"time"
 )
@@ -100,6 +101,13 @@ func (r *Runner[T]) Run(ctx context.Context) {
 		go r.watch(ctx, watchDone)
 	}
 
+	// With more workers than Ps, a worker the Go scheduler preempts
+	// mid-item holds that item for a whole time slice while the others
+	// keep draining a shared budget; a symbolic path held that way can
+	// miss its phase's path budget entirely. Yielding after every item
+	// hands the P to a waiting worker, so a preempted one resumes within
+	// about one item.
+	yield := r.opts.Workers > runtime.GOMAXPROCS(0)
 	var wg sync.WaitGroup
 	for w := 0; w < r.opts.Workers; w++ {
 		wg.Add(1)
@@ -112,6 +120,9 @@ func (r *Runner[T]) Run(ctx context.Context) {
 				}
 				r.exec(w, item)
 				r.retire(w, item)
+				if yield {
+					runtime.Gosched()
+				}
 			}
 		}(w)
 	}

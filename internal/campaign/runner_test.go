@@ -3,6 +3,7 @@ package campaign
 import (
 	"context"
 	"flag"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -94,6 +95,25 @@ func TestRunnerParallelDrains(t *testing.T) {
 	}
 	if total != n {
 		t.Fatalf("per-worker sum = %d, want %d", total, n)
+	}
+}
+
+// TestRunnerWorkersTakeTurns: with more workers than Ps, workers yield
+// between items, so on one P every worker runs an item long before the
+// first one could drain the frontier alone.
+func TestRunnerWorkersTakeTurns(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const workers = 4
+	f := &listFrontier{items: make([]int, 64)}
+	var order []int
+	r := NewRunner(Options{Workers: workers}, f, func(w, item int) { order = append(order, w) })
+	r.Run(context.Background())
+	seen := make(map[int]bool)
+	for _, w := range order[:2*workers] {
+		seen[w] = true
+	}
+	if len(seen) != workers {
+		t.Fatalf("first %d items ran on workers %v, want all %d", 2*workers, order[:2*workers], workers)
 	}
 }
 

@@ -406,10 +406,7 @@ func (e *Engine) Explore(ctx context.Context, entryName string) PhaseResult {
 
 	if workers > 1 {
 		e.mu.Lock()
-		for _, c := range ectxs {
-			e.workerQueries += c.Solver.Stats.Queries
-			e.workerUnknown += c.Solver.Stats.UnknownAns
-		}
+		e.retireSolvers(ectxs)
 		// Completion order is schedule-dependent; canonicalize by state ID
 		// so KeepStates selection (and everything downstream) is ordered by
 		// a property of the path, not of the race.
@@ -583,6 +580,15 @@ func (e *Engine) InvokeEntry(base *vm.State, name string, pc uint32, args ...*ex
 		e.K.InvokeSym(alt, name, pc, args...)
 		chargeIntr(alt)
 		e.Sched.Push(alt)
+	}
+}
+
+// retireSolvers adds the counters of finished workers' private solvers to
+// the session's; the caller holds e.mu.
+func (e *Engine) retireSolvers(ctxs []*vm.ExecContext) {
+	for _, c := range ctxs {
+		e.workerQueries += c.Solver.Stats.Queries
+		e.workerUnknown += c.Solver.Stats.UnknownAns
 	}
 }
 

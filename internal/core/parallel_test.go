@@ -8,6 +8,9 @@ import (
 	"testing"
 
 	"repro/internal/corpus"
+	"repro/internal/expr"
+	"repro/internal/solver"
+	"repro/internal/vm"
 )
 
 // seedGolden pins the exact results of the sequential engine. A workers=1
@@ -163,16 +166,48 @@ func TestParallelReportsCacheStats(t *testing.T) {
 }
 
 // TestSolverUnknownReported: queries the solver can neither prove nor
-// refute are counted in the report, sequential and summed over parallel
-// workers. intel-pro100 has such queries: a flag bit clear while the byte
-// holding it equals an odd constant, which interval and range reasoning
-// cannot refute.
+// refute are counted in the report, on the engine's own solver and summed
+// over retired worker solvers, and Report.String prints the count. The
+// solvers are fed queries outside the fragment the solver decides (a
+// square equal to 2, 3, 6 or 7, which no 32-bit word is), so the test does
+// not depend on which corpus queries the solver leaves undecided today.
 func TestSolverUnknownReported(t *testing.T) {
+	img, err := corpus.Build("rtl8029", corpus.Buggy)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := NewEngine(img, DefaultOptions())
+	x := expr.Sym(0)
+	undecided := func(s *solver.Solver, k uint32) {
+		t.Helper()
+		if res, _ := s.Check([]*expr.Expr{expr.Eq(expr.Mul(x, x), expr.Const(k))}); res != solver.Unknown {
+			t.Fatalf("x*x == %d: %v, want unknown", k, res)
+		}
+	}
+	undecided(e.M.Solver, 2)
+	workers := []*vm.ExecContext{e.M.NewContext(solver.New()), e.M.NewContext(solver.New())}
+	undecided(workers[0].Solver, 3)
+	undecided(workers[1].Solver, 6)
+	undecided(workers[1].Solver, 7)
+	e.mu.Lock()
+	e.retireSolvers(workers)
+	e.mu.Unlock()
+
+	rep := e.Report()
+	if rep.SolverUnknown != 4 || rep.SolverQueries != 4 {
+		t.Errorf("%d unknown of %d queries, want 4 of 4", rep.SolverUnknown, rep.SolverQueries)
+	}
+	if want := "4 queries, 4 unknown"; !strings.Contains(rep.String(), want) {
+		t.Errorf("report does not show %q:\n%s", want, rep)
+	}
+
+	// A session's count covers its real queries too, sequential and
+	// parallel.
 	for _, workers := range []int{1, 2} {
 		opts := DefaultOptions()
 		opts.Workers = workers
 		rep := runDDT(t, "intel-pro100", corpus.Buggy, opts)
-		if rep.SolverUnknown == 0 || rep.SolverUnknown > rep.SolverQueries {
+		if rep.SolverUnknown > rep.SolverQueries {
 			t.Errorf("workers=%d: %d unknown of %d queries", workers, rep.SolverUnknown, rep.SolverQueries)
 		}
 		if want := fmt.Sprintf("%d unknown", rep.SolverUnknown); !strings.Contains(rep.String(), want) {

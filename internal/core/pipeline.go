@@ -493,10 +493,7 @@ func (e *Engine) testDriverPipelined(ctx context.Context) (*Report, error) {
 	e.pipe = nil
 
 	e.mu.Lock()
-	for _, c := range p.ectxs {
-		e.workerQueries += c.Solver.Stats.Queries
-		e.workerUnknown += c.Solver.Stats.UnknownAns
-	}
+	e.retireSolvers(p.ectxs)
 	e.mu.Unlock()
 	dbgPhases.workerPaths(p.perPaths)
 

@@ -97,7 +97,7 @@ func FuzzSolverSound(f *testing.F) {
 			for v0 := uint32(0); v0 < 256; v0++ {
 				for v1 := uint32(0); v1 < 256; v1++ {
 					a[0], a[1] = v0, v1
-					if treeSatisfies(cs, a) {
+					if satisfies(cs, a) {
 						t.Fatalf("unsat, but %v satisfies %v", a, cs)
 					}
 				}

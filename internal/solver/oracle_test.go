@@ -69,21 +69,12 @@ func treeSolve(s *Solver, cs []*expr.Expr) (Result, expr.Assignment) {
 	return Unknown, nil
 }
 
-func treeSatisfies(cs []*expr.Expr, a expr.Assignment) bool {
-	for _, c := range cs {
-		if expr.Eval(c, a) == 0 {
-			return false
-		}
-	}
-	return true
-}
-
 func treeExhaustive(cs []*expr.Expr, syms []expr.SymID, cands [][]uint32) expr.Assignment {
 	a := make(expr.Assignment, len(syms))
 	var rec func(i int) bool
 	rec = func(i int) bool {
 		if i == len(syms) {
-			return treeSatisfies(cs, a)
+			return satisfies(cs, a)
 		}
 		for _, v := range cands[i] {
 			a[syms[i]] = v
@@ -175,7 +166,7 @@ func treeProbe(s *Solver, cs []*expr.Expr, syms []expr.SymID, ivs map[expr.SymID
 			}
 			a[id] = v
 		}
-		if treeSatisfies(cs, a) {
+		if satisfies(cs, a) {
 			return a
 		}
 	}

@@ -15,7 +15,8 @@ import (
 // recordedQuery is one line of testdata/queries.txt.
 type recordedQuery struct {
 	driver string
-	// class is the tree-walk search's answer when the query was recorded.
+	// class is the session's answer when the query was recorded, before
+	// range evaluation existed.
 	class string
 	cs    []*expr.Expr
 }
@@ -120,7 +121,8 @@ func parseTokens(toks []string) (*expr.Expr, []string, error) {
 // TestRecordedQueriesMatchTreeOracle holds the solver to the tree-walk
 // search on the recorded session queries: the same answer, except that
 // range evaluation may prove Unsat where the oracle gives up with
-// Unknown, and on Sat the same model.
+// Unknown, and on Sat the same model. A query is Sat exactly when it was
+// Sat in the recorded session.
 func TestRecordedQueriesMatchTreeOracle(t *testing.T) {
 	qs := loadQueries(t)
 	proved, unknown := 0, 0
@@ -134,6 +136,9 @@ func TestRecordedQueriesMatchTreeOracle(t *testing.T) {
 		default:
 			t.Fatalf("query %d (%s): %v, tree oracle %v", i+1, q.driver, got, want)
 		}
+		if (got == Sat) != (q.class == "sat") {
+			t.Fatalf("query %d (%s): %v, recorded in session as %s", i+1, q.driver, got, q.class)
+		}
 		if got == Unknown {
 			unknown++
 		}
@@ -142,11 +147,12 @@ func TestRecordedQueriesMatchTreeOracle(t *testing.T) {
 		}
 	}
 	t.Logf("%d queries: %d proved Unsat by range evaluation, %d still Unknown", len(qs), proved, unknown)
-	// The one query left needs relational reasoning: a reassembled word
-	// both below 8 and above 7. Every other recorded Unknown is a
+	// The queries left are intel-pro100's flag-bit family: a flag bit
+	// clear while the byte holding it equals an odd constant, which needs
+	// bit-level reasoning. Every other recorded Unknown is a
 	// range-evaluation Unsat.
-	if unknown > 1 {
-		t.Errorf("%d queries still Unknown, want at most 1", unknown)
+	if unknown > 5 {
+		t.Errorf("%d queries still Unknown, want at most 5", unknown)
 	}
 }
 

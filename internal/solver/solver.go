@@ -6,17 +6,17 @@
 // symbolic inputs (hardware register reads, registry values, packet bytes)
 // against constants, simple linear offsets, bit masks, and boolean
 // combinations thereof. The solver is sound always: a Sat answer comes with
-// a model that satisfies every constraint by construction of the search,
-// and an Unsat answer comes from sound reasoning — interval propagation
-// narrowing some symbol to nothing, range evaluation (rangeOf) showing a
-// constraint is 0 over the whole box of symbol intervals, or an exhausted
-// boundary-candidate search over a fragment where the candidates are
-// complete. It is complete in practice for this fragment via exhaustive
-// candidate-set search, greedy repair and randomized probing, all of which
-// run over the query compiled into flat register programs (prog). Answers
-// it cannot decide are reported as Unknown, which DDT's exerciser treats
-// as "do not explore" (a coverage loss, never a false positive — matching
-// the paper's accuracy discipline).
+// a model that the search found over compiled constraints and that is
+// verified by evaluating every constraint tree, and an Unsat answer comes
+// from sound reasoning — interval propagation narrowing some symbol to
+// nothing, range evaluation (rangeOf) showing a constraint is 0 over the
+// whole box of symbol intervals, or an exhausted boundary-candidate search
+// over a fragment where the candidates are complete. It is complete in
+// practice for this fragment via exhaustive candidate-set search, greedy
+// repair and randomized probing, all of which run over the query compiled
+// into flat register programs (prog). Answers it cannot decide are reported
+// as Unknown, which DDT's exerciser treats as "do not explore" (a coverage
+// loss, never a false positive — matching the paper's accuracy discipline).
 package solver
 
 import (
@@ -77,7 +77,7 @@ type Solver struct {
 	ivs       map[expr.SymID]interval
 	ranges    map[*expr.Expr]interval
 	prog      prog
-	seen      wordSet
+	seen      map[uint32]struct{}
 	constList []uint32
 	pool      []uint32
 	cands     [][]uint32
@@ -117,7 +117,7 @@ func (s *Solver) rand() uint64 {
 
 // Check decides whether the conjunction of cs is satisfiable. On Sat the
 // returned assignment covers every symbol occurring in cs and makes every
-// constraint non-zero (this is re-verified before returning).
+// constraint non-zero (solve re-verifies this with expr.Eval).
 func (s *Solver) Check(cs []*expr.Expr) (Result, expr.Assignment) {
 	s.Stats.Queries++
 
@@ -195,7 +195,28 @@ func cloneAssignment(a expr.Assignment) expr.Assignment {
 	return out
 }
 
+// solve answers a query whose constraints are all non-constant. A Sat
+// model the search found over the compiled programs is checked once more
+// with expr.Eval, so a Sat answer never depends on the compiled evaluator
+// agreeing with the tree one.
 func (s *Solver) solve(cs []*expr.Expr) (Result, expr.Assignment) {
+	res, m := s.search(cs)
+	if res == Sat && !satisfies(cs, m) {
+		return Unknown, nil
+	}
+	return res, m
+}
+
+func satisfies(cs []*expr.Expr, a expr.Assignment) bool {
+	for _, c := range cs {
+		if expr.Eval(c, a) == 0 {
+			return false
+		}
+	}
+	return true
+}
+
+func (s *Solver) search(cs []*expr.Expr) (Result, expr.Assignment) {
 	syms := collectSymbols(cs)
 
 	// Interval propagation: sound narrowing of per-symbol unsigned ranges.
@@ -344,14 +365,15 @@ func (s *Solver) candidates(cs []*expr.Expr, syms []expr.SymID, ivs map[expr.Sym
 
 	// The pool in first-occurrence order, without repeats.
 	pairwise := len(cl) <= 24
-	n := 6 + 3*len(cl)
-	if pairwise {
-		n += len(cl) * len(cl)
+	if s.seen == nil {
+		s.seen = make(map[uint32]struct{})
 	}
-	s.seen.reset(n)
+	seen := s.seen
+	clear(seen)
 	pool := s.pool[:0]
 	add := func(v uint32) {
-		if s.seen.add(v) {
+		if _, ok := seen[v]; !ok {
+			seen[v] = struct{}{}
 			pool = append(pool, v)
 		}
 	}
@@ -438,38 +460,4 @@ func collectConstsDAG(e *expr.Expr, out []uint32, seen map[*expr.Expr]struct{}) 
 	out = collectConstsDAG(e.X, out, seen)
 	out = collectConstsDAG(e.Y, out, seen)
 	return collectConstsDAG(e.Z, out, seen)
-}
-
-// wordSet is an open-addressing set of words with linear probing, reused
-// across queries: resetting it clears one slice, and adding never
-// allocates.
-type wordSet struct {
-	slots []uint64 // v+1; 0 marks an empty slot
-}
-
-// reset empties the set and sizes it for up to n words.
-func (ws *wordSet) reset(n int) {
-	size := 16
-	for size < 2*n {
-		size <<= 1
-	}
-	if cap(ws.slots) < size {
-		ws.slots = make([]uint64, size)
-	}
-	ws.slots = ws.slots[:size]
-	clear(ws.slots)
-}
-
-// add inserts v and reports whether it was absent.
-func (ws *wordSet) add(v uint32) bool {
-	mask := uint64(len(ws.slots) - 1)
-	for i := (uint64(v) * 0x9E3779B97F4A7C15 >> 32) & mask; ; i = (i + 1) & mask {
-		switch ws.slots[i] {
-		case 0:
-			ws.slots[i] = uint64(v) + 1
-			return true
-		case uint64(v) + 1:
-			return false
-		}
-	}
 }
