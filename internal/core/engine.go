@@ -18,6 +18,7 @@ import (
 	"repro/internal/kernel"
 	"repro/internal/solver"
 	"repro/internal/vm"
+	"repro/internal/workload"
 )
 
 // Options configure one DDT run. The campaign envelope (workers, pipeline
@@ -82,8 +83,8 @@ type Options struct {
 
 // Scenario values for Options.Scenario.
 const (
-	ScenarioLinear = "linear"
-	ScenarioPnP    = "pnp"
+	ScenarioLinear = workload.ScenarioLinear
+	ScenarioPnP    = workload.ScenarioPnP
 )
 
 // DefaultOptions mirror the paper's configuration: annotations on,

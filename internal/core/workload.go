@@ -2,20 +2,16 @@ package core
 
 import (
 	"context"
-	"fmt"
 	"sort"
 
-	"repro/internal/binimg"
-	"repro/internal/expr"
 	"repro/internal/kernel"
 	"repro/internal/vm"
+	"repro/internal/workload"
 )
 
-// The workload generator is our Device Path Exerciser (§4.3): it invokes
-// each registered entry point the way the OS would — load, initialize,
-// exercise the data path (one packet / one playback, §5.2), query and set
-// driver information with symbolic OIDs, drain DPCs, deliver interrupts,
-// halt — and lets symbolic execution fan out from each invocation.
+// The engine walks the workload plan (package workload, the Device Path
+// Exerciser of §4.3) and lets symbolic execution fan out from each entry
+// invocation.
 
 // pipelined reports whether this engine explores cross-phase (no workload
 // phase barriers): Options.Pipeline with a real worker pool.
@@ -35,240 +31,48 @@ func (e *Engine) TestDriver(ctx context.Context) (*Report, error) {
 	if e.pipelined() {
 		return e.testDriverPipelined(ctx)
 	}
-	boot := e.NewBootState()
-
-	// Phase: DriverEntry — the load-time entry named in the binary header.
-	entry := e.M.ForkState(boot)
-	e.K.Invoke(entry, "DriverEntry", e.Img.Entry)
-	e.Sched.Push(entry)
-	res := e.Explore(ctx, "DriverEntry")
-	if len(res.Succeeded) == 0 {
-		// A driver whose load entry always fails or crashes: report what
-		// we found.
-		return e.Report(), nil
+	plan := e.phasePlan()
+	// DriverEntry runs unbounded: every success becomes a base of the plan.
+	for _, st := range e.enter(&plan[0], e.NewBootState(), 0) {
+		e.Sched.Push(st)
 	}
-	bases := res.Succeeded
-
-	switch e.Img.Device.Class {
-	case binimg.ClassNetwork:
-		bases = e.networkWorkload(ctx, bases)
-	case binimg.ClassAudio:
-		bases = e.audioWorkload(ctx, bases)
-	case binimg.ClassStorage:
-		// Storage drivers run the scenario graph (PnP/power/surprise
-		// removal); the plan is shared with the pipelined explorer.
-		bases = e.runGraph(ctx, e.phasePlan(), bases)
-	default:
-		// No class-specific data path: still exercise halt if registered.
+	res := e.Explore(ctx, plan[0].Name)
+	if len(res.Succeeded) > 0 {
+		e.runGraph(ctx, plan, res.Succeeded)
 	}
-	_ = bases
 	return e.Report(), nil
 }
 
-// phase runs one entry phase across all base states. It returns the new
-// bases (successful outcomes) and whether any invocation succeeded; when
-// none did, the old bases are returned so the caller can decide whether the
-// remaining workload still makes sense.
-//
-// NOTE: the workload below exists in a second, data-driven form in
-// pipeline.go (phasePlan) for the barrier-free explorer. Any phase added,
-// reordered, or re-argumented here must be mirrored there — see the
-// phasePlan comment for why the two cannot share one definition.
-func (e *Engine) phase(ctx context.Context, bases []*vm.State, name string, pcOf func(ks *kernel.KState) uint32,
-	argsOf func(s *vm.State) []*expr.Expr, prep func(s *vm.State)) ([]*vm.State, bool) {
+// phasePlan is the driver's workload plan for this session's scenario.
+func (e *Engine) phasePlan() []workload.Phase {
+	return workload.Plan(e.Img, e.Opts.Scenario)
+}
 
-	any := false
-	for _, base := range bases {
-		ks := kernel.Of(base)
-		pc := pcOf(ks)
-		if pc == 0 {
-			continue
-		}
-		any = true
+// enter forks base into phase idx's invocation state(s), tagged with the
+// phase index; it does not push them. While an ISR is registered and the
+// path's interrupt budget lasts, a second fork takes an interrupt as the
+// entry starts. The drain node and entries already running at device level
+// (the ISR) get no such sibling. nil means the phase does not apply.
+func (e *Engine) enter(p *workload.Phase, base *vm.State, idx int) []*vm.State {
+	if !p.Applies(base) {
+		return nil
+	}
+	in := workload.Inputs{K: e.K, Annotations: e.Opts.Annotations}
+	fork := func() *vm.State {
 		st := e.M.ForkState(base)
-		if prep != nil {
-			prep(st)
-		}
-		var args []*expr.Expr
-		if argsOf != nil {
-			args = argsOf(st)
-		}
-		e.K.InvokeSym(st, name, pc, args...)
-		e.Sched.Push(st)
-
-		if e.Opts.SymbolicInterrupts && kernel.Of(st).ISRRegistered && name != "ISR" && e.intrBudgetLeft(base) {
-			alt := e.M.ForkState(base)
-			if prep != nil {
-				prep(alt)
-			}
-			var altArgs []*expr.Expr
-			if argsOf != nil {
-				altArgs = argsOf(alt)
-			}
-			e.K.InvokeSym(alt, name, pc, altArgs...)
-			chargeIntr(alt)
-			e.Sched.Push(alt)
-		}
+		st.Phase = idx
+		p.Enter(in, st)
+		return st
 	}
-	if !any {
-		return bases, false
+	st := fork()
+	ks := kernel.Of(st)
+	if p.Drain || !e.Opts.SymbolicInterrupts || !ks.ISRRegistered || ks.IRQL >= kernel.DeviceLevel || !e.intrBudgetLeft(base) {
+		return []*vm.State{st}
 	}
-	res := e.Explore(ctx, name)
-	if len(res.Succeeded) == 0 {
-		return bases, false
-	}
-	// Prefer carrying forward states with queued DPCs — they hold the
-	// continuations (timer callbacks) the DPC-drain phase must exercise —
-	// then cap at the configured fan-out.
-	sort.SliceStable(res.Succeeded, func(i, j int) bool {
-		return len(kernel.Of(res.Succeeded[i]).PendingDPCs) > len(kernel.Of(res.Succeeded[j]).PendingDPCs)
-	})
-	if len(res.Succeeded) > e.Opts.KeepStates {
-		res.Succeeded = res.Succeeded[:e.Opts.KeepStates]
-	}
-	// Normalize carried state: phases must not leak DPC/IRQL context.
-	for _, s := range res.Succeeded {
-		ks := kernel.Of(s)
-		ks.InDpc = false
-		ks.IRQL = kernel.PassiveLevel
-	}
-	return res.Succeeded, true
+	alt := fork()
+	chargeIntr(alt)
+	return []*vm.State{st, alt}
 }
-
-// adapterHandle is the opaque per-adapter context the kernel hands to
-// network entry points.
-const adapterHandle uint32 = 0x7000_0001
-
-func (e *Engine) networkWorkload(ctx context.Context, bases []*vm.State) []*vm.State {
-	mp := func(ks *kernel.KState) *kernel.MiniportChars {
-		if ks.Miniport == nil {
-			return &kernel.MiniportChars{}
-		}
-		return ks.Miniport
-	}
-
-	// Initialize. Interrupt registration happens inside; the boundary hook
-	// begins injecting as soon as the ISR is registered — this is the
-	// window where the RTL8029 init race lives.
-	bases, initialized := e.phase(ctx, bases, "Initialize",
-		func(ks *kernel.KState) uint32 { return mp(ks).InitializePC },
-		func(s *vm.State) []*expr.Expr { return []*expr.Expr{expr.Const(adapterHandle)} },
-		nil)
-	if !initialized {
-		// The OS only exercises the data path — and eventually Halt — on
-		// an adapter that initialized successfully.
-		return bases
-	}
-
-	// Send one packet with symbolic contents and symbolic (bounded) length.
-	bases, _ = e.phase(ctx, bases, "Send",
-		func(ks *kernel.KState) uint32 { return mp(ks).SendPC },
-		func(s *vm.State) []*expr.Expr {
-			pkt := e.makeSymbolicPacket(s)
-			return []*expr.Expr{expr.Const(adapterHandle), expr.Const(pkt)}
-		},
-		nil)
-
-	// QueryInformation / SetInformation with a fully symbolic OID — the
-	// unexpected-OID crashes of Table 2 need exactly this. Symbolic entry
-	// arguments are concrete-to-symbolic conversion hints (§3.4): in
-	// default, annotation-free mode "driver entry point arguments are not
-	// touched" and a representative concrete OID is used instead.
-	infoArgs := func(concreteOID uint32) func(s *vm.State) []*expr.Expr {
-		return func(s *vm.State) []*expr.Expr {
-			var oid *expr.Expr
-			if e.Opts.Annotations {
-				oid = e.K.FreshSymbol(s, "oid", expr.OriginArgument)
-			} else {
-				oid = expr.Const(concreteOID)
-			}
-			buf := e.makeInfoBuffer(s)
-			return []*expr.Expr{expr.Const(adapterHandle), oid, expr.Const(buf), expr.Const(64)}
-		}
-	}
-	bases, _ = e.phase(ctx, bases, "QueryInformation",
-		func(ks *kernel.KState) uint32 { return mp(ks).QueryInfoPC },
-		infoArgs(kernel.OIDGenSupportedList), nil)
-	bases, _ = e.phase(ctx, bases, "SetInformation",
-		func(ks *kernel.KState) uint32 { return mp(ks).SetInfoPC },
-		infoArgs(kernel.OIDGenCurrentPacketFil), nil)
-
-	// Direct ISR delivery (device interrupt while otherwise idle).
-	bases, _ = e.phase(ctx, bases, "ISR",
-		func(ks *kernel.KState) uint32 {
-			if ks.ISRRegistered {
-				return ks.ISRPC
-			}
-			return 0
-		},
-		func(s *vm.State) []*expr.Expr { return []*expr.Expr{expr.Const(adapterHandle)} },
-		func(s *vm.State) { kernel.Of(s).IRQL = kernel.DeviceLevel })
-
-	// Drain queued DPCs (timer callbacks) at DISPATCH_LEVEL.
-	bases = e.drainDPCs(ctx, bases)
-
-	// Halt: everything must be released afterwards.
-	bases, _ = e.phase(ctx, bases, "Halt",
-		func(ks *kernel.KState) uint32 { return mp(ks).HaltPC },
-		func(s *vm.State) []*expr.Expr { return []*expr.Expr{expr.Const(adapterHandle)} },
-		nil)
-	return bases
-}
-
-func (e *Engine) audioWorkload(ctx context.Context, bases []*vm.State) []*vm.State {
-	au := func(ks *kernel.KState) *kernel.AudioChars {
-		if ks.Audio == nil {
-			return &kernel.AudioChars{}
-		}
-		return ks.Audio
-	}
-
-	bases, initialized := e.phase(ctx, bases, "Initialize",
-		func(ks *kernel.KState) uint32 { return au(ks).InitializePC },
-		func(s *vm.State) []*expr.Expr { return []*expr.Expr{expr.Const(adapterHandle)} },
-		nil)
-	if !initialized {
-		return bases
-	}
-
-	// Play a small sound: the paper's audio workload (§5.2).
-	bases, _ = e.phase(ctx, bases, "Play",
-		func(ks *kernel.KState) uint32 { return au(ks).PlayPC },
-		func(s *vm.State) []*expr.Expr {
-			buf := e.makeAudioBuffer(s)
-			return []*expr.Expr{expr.Const(adapterHandle), expr.Const(buf), expr.Const(256)}
-		},
-		nil)
-
-	bases, _ = e.phase(ctx, bases, "ISR",
-		func(ks *kernel.KState) uint32 {
-			if ks.ISRRegistered {
-				return ks.ISRPC
-			}
-			return 0
-		},
-		func(s *vm.State) []*expr.Expr { return []*expr.Expr{expr.Const(adapterHandle)} },
-		func(s *vm.State) { kernel.Of(s).IRQL = kernel.DeviceLevel })
-
-	bases = e.drainDPCs(ctx, bases)
-
-	bases, _ = e.phase(ctx, bases, "Stop",
-		func(ks *kernel.KState) uint32 { return au(ks).StopPC },
-		func(s *vm.State) []*expr.Expr { return []*expr.Expr{expr.Const(adapterHandle)} },
-		nil)
-
-	bases, _ = e.phase(ctx, bases, "Halt",
-		func(ks *kernel.KState) uint32 { return au(ks).HaltPC },
-		func(s *vm.State) []*expr.Expr { return []*expr.Expr{expr.Const(adapterHandle)} },
-		nil)
-	return bases
-}
-
-// maxDPCRounds bounds the DPC-drain fixpoint: a DPC body may itself queue
-// another DPC, and an unbounded drain would never terminate on such a
-// driver. Eight rounds comfortably covers every corpus driver while still
-// converging when a callback re-queues itself.
-const maxDPCRounds = 8
 
 // drainDPCs dispatches pending timer/DPC callbacks at DISPATCH_LEVEL with
 // the DPC flag set (where the Intel Pro/100 spinlock bug manifests). A
@@ -276,28 +80,25 @@ const maxDPCRounds = 8
 // ISR inserted — so the drain runs to a fixpoint: each round pops one DPC
 // per state and explores it, until no carried state has work left. States
 // whose queue is already empty ride through a round unchanged.
-func (e *Engine) drainDPCs(ctx context.Context, bases []*vm.State) []*vm.State {
-	for round := 0; round < maxDPCRounds; round++ {
+func (e *Engine) drainDPCs(ctx context.Context, p *workload.Phase, idx int, bases []*vm.State) []*vm.State {
+	for round := 0; round < workload.MaxDPCRounds; round++ {
 		var out []*vm.State
 		ran := false
 		for _, base := range bases {
-			if len(kernel.Of(base).PendingDPCs) == 0 {
+			sts := e.enter(p, base, idx)
+			if sts == nil {
 				out = append(out, base)
 				continue
 			}
 			ran = true
-			st := e.M.ForkState(base)
-			sks := kernel.Of(st)
-			dpc := sks.TakeDPC()
-			sks.IRQL = kernel.DispatchLevel
-			sks.InDpc = true
-			e.K.InvokeSym(st, "DPC:"+dpc.Label, dpc.FuncPC, expr.Const(dpc.Ctx))
-			e.Sched.Push(st)
+			for _, st := range sts {
+				e.Sched.Push(st)
+			}
 		}
 		if !ran {
 			return bases
 		}
-		res := e.Explore(ctx, "DPC")
+		res := e.Explore(ctx, p.Name)
 		for _, s := range res.Succeeded {
 			ks := kernel.Of(s)
 			ks.InDpc = false
@@ -312,77 +113,60 @@ func (e *Engine) drainDPCs(ctx context.Context, bases []*vm.State) []*vm.State {
 	return bases
 }
 
-// runGraph executes a scenario graph — a phasePlan whose specs may carry
-// successor edges — under the barriered explorer. Edges only point forward
-// (phasePlan builds them that way), so plan index order is a topological
-// order and a single in-order sweep visits every node after all of its
-// predecessors. Node 0 (DriverEntry) has already run; bases are its
-// successes, routed along node 0's edges. The return value collects the
-// graph's leaves: states that completed a terminal node (or stalled at a
-// failed gate).
-func (e *Engine) runGraph(ctx context.Context, plan []phaseSpec, bases []*vm.State) []*vm.State {
+// runGraph walks the plan under the barriered explorer. Edges only point
+// forward, so plan index order is a topological order and a single
+// in-order sweep runs every node after all of its predecessors, over the
+// union of the states its predecessors routed to it. Node 0 (DriverEntry)
+// has already run; bases are its successes. A state leaving the last node,
+// matching no edge, or stalled at a failed gate is done.
+func (e *Engine) runGraph(ctx context.Context, plan []workload.Phase, bases []*vm.State) {
 	in := make([][]*vm.State, len(plan))
-	leaves := e.routeGraph(plan, 0, bases, in)
+	routeGraph(plan, 0, bases, in)
 	for i := 1; i < len(plan); i++ {
 		if len(in[i]) == 0 {
 			continue
 		}
-		out, ok := e.runGraphNode(ctx, plan[i], i, in[i])
-		if !ok && plan[i].gate {
-			// Gate with zero successes: this subtree of the scenario ends
-			// (the linear loop's "!initialized" early return). Its inputs
-			// are the subtree's final states.
-			leaves = append(leaves, in[i]...)
+		out, ok := e.runGraphNode(ctx, &plan[i], i, in[i])
+		if !ok && plan[i].Gate {
+			// Gate with zero successes: this subtree of the scenario ends.
 			continue
 		}
-		// Zero-success non-gate nodes return their inputs unchanged (the
-		// linear loop's pass-through), so routing out is always right.
-		leaves = append(leaves, e.routeGraph(plan, i, out, in)...)
+		// A non-gate node with zero successes passes its inputs through.
+		routeGraph(plan, i, out, in)
 	}
-	return leaves
 }
 
 // routeGraph sends the states leaving node i along its outgoing edges,
-// appending them to each matching target's input list. nil succs is linear
-// fallthrough to i+1; a state matching no edge (or leaving the last node)
-// is a leaf and is returned.
-func (e *Engine) routeGraph(plan []phaseSpec, i int, out []*vm.State, in [][]*vm.State) []*vm.State {
-	sp := plan[i]
-	if sp.succs == nil {
+// appending them to each matching target's input list.
+func routeGraph(plan []workload.Phase, i int, out []*vm.State, in [][]*vm.State) {
+	if plan[i].Succs == nil {
 		if i+1 < len(plan) {
 			in[i+1] = append(in[i+1], out...)
-			return nil
 		}
-		return out
+		return
 	}
-	var leaves []*vm.State
 	for _, s := range out {
-		routed := false
-		for _, edge := range sp.succs {
-			if edge.when == nil || edge.when(e, s) {
-				in[edge.to] = append(in[edge.to], s)
-				routed = true
+		for _, edge := range plan[i].Succs {
+			if edge.When == nil || edge.When(s) {
+				in[edge.To] = append(in[edge.To], s)
 			}
 		}
-		if !routed {
-			leaves = append(leaves, s)
-		}
 	}
-	return leaves
 }
 
-// runGraphNode runs one scenario-graph node over its input states,
-// mirroring Engine.phase's explore/sort/cap/normalize sequence but driving
-// the invocation through the node's phaseSpec (so the barriered and
-// pipelined walkers exercise identical invocations). Drain nodes delegate
-// to the DPC fixpoint.
-func (e *Engine) runGraphNode(ctx context.Context, sp phaseSpec, idx int, bases []*vm.State) ([]*vm.State, bool) {
-	if sp.drain {
-		return e.drainDPCs(ctx, bases), true
+// runGraphNode runs one plan node over its input states: invoke, explore,
+// carry forward the successes holding the most queued DPCs (they hold the
+// continuations the drain must exercise) capped at KeepStates, and
+// normalize them so phases do not leak DPC/IRQL context. It returns the
+// inputs and false when nothing applied or nothing succeeded. Drain nodes
+// run the DPC fixpoint.
+func (e *Engine) runGraphNode(ctx context.Context, p *workload.Phase, idx int, bases []*vm.State) ([]*vm.State, bool) {
+	if p.Drain {
+		return e.drainDPCs(ctx, p, idx, bases), true
 	}
 	any := false
 	for _, base := range bases {
-		for _, st := range sp.invoke(e, base, idx) {
+		for _, st := range e.enter(p, base, idx) {
 			any = true
 			e.Sched.Push(st)
 		}
@@ -390,7 +174,7 @@ func (e *Engine) runGraphNode(ctx context.Context, sp phaseSpec, idx int, bases 
 	if !any {
 		return bases, false
 	}
-	res := e.Explore(ctx, sp.name)
+	res := e.Explore(ctx, p.Name)
 	if len(res.Succeeded) == 0 {
 		return bases, false
 	}
@@ -406,97 +190,4 @@ func (e *Engine) runGraphNode(ctx context.Context, sp phaseSpec, idx int, bases 
 		ks.IRQL = kernel.PassiveLevel
 	}
 	return res.Succeeded, true
-}
-
-// makeSymbolicPacket builds the one-packet Send workload: a packet header
-// { dataPtr, length } plus a payload whose leading bytes are symbolic. The
-// length is symbolic but constrained to the buffer size — the soundness
-// requirement §7 contrasts with RevNIC ("constrained not to be greater
-// than the original, to avoid buffer overflows").
-func (e *Engine) makeSymbolicPacket(s *vm.State) uint32 {
-	ks := kernel.Of(s)
-	const payload = 64
-	addr, err := ks.HeapAlloc(8+payload, "sendpkt", "packet", s.ICount, 0)
-	if err != nil {
-		return 0
-	}
-	delete(ks.Allocs, addr) // kernel-owned: the driver must not free it
-	data := addr + 8
-	s.Mem.Write(addr, 4, expr.Const(data))
-	if e.Opts.Annotations {
-		length := e.K.FreshSymbol(s, "packet_len", expr.OriginPacket)
-		s.AddConstraint(expr.UGe(length, expr.Const(14)))
-		s.AddConstraint(expr.ULe(length, expr.Const(payload)))
-		s.Mem.Write(addr+4, 4, length)
-		for i := uint32(0); i < 16; i++ {
-			b := e.K.FreshSymbol(s, fmt.Sprintf("packet_byte_%d", i), expr.OriginPacket)
-			s.Mem.Write(data+i, 1, b)
-		}
-	} else {
-		s.Mem.Write(addr+4, 4, expr.Const(42))
-		for i := uint32(0); i < 16; i++ {
-			s.Mem.Write(data+i, 1, expr.Const(uint32(0x40+i)))
-		}
-	}
-	for i := uint32(16); i < payload; i++ {
-		s.Mem.Write(data+i, 1, expr.Const(0))
-	}
-	return addr
-}
-
-// makeInfoBuffer allocates the kernel-owned information buffer passed to
-// Query/SetInformation.
-func (e *Engine) makeInfoBuffer(s *vm.State) uint32 {
-	ks := kernel.Of(s)
-	addr, err := ks.HeapAlloc(64, "infobuf", "param", s.ICount, 0)
-	if err != nil {
-		return 0
-	}
-	delete(ks.Allocs, addr)
-	return addr
-}
-
-// makeStorageBuffer allocates a 128-byte block-I/O buffer whose leading
-// bytes are symbolic. The fuzzer's storage workload mirrors this
-// positionally (symbol k here is feed word k there) — keep the two in sync.
-func (e *Engine) makeStorageBuffer(s *vm.State) uint32 {
-	ks := kernel.Of(s)
-	addr, err := ks.HeapAlloc(128, "blkbuf", "param", s.ICount, 0)
-	if err != nil {
-		return 0
-	}
-	delete(ks.Allocs, addr)
-	if e.Opts.Annotations {
-		for i := uint32(0); i < 8; i++ {
-			b := e.K.FreshSymbol(s, fmt.Sprintf("blk_byte_%d", i), expr.OriginPacket)
-			s.Mem.Write(addr+i, 1, b)
-		}
-	} else {
-		for i := uint32(0); i < 8; i++ {
-			s.Mem.Write(addr+i, 1, expr.Const(i*9&0xFF))
-		}
-	}
-	return addr
-}
-
-// makeAudioBuffer allocates a playback buffer with symbolic leading
-// samples.
-func (e *Engine) makeAudioBuffer(s *vm.State) uint32 {
-	ks := kernel.Of(s)
-	addr, err := ks.HeapAlloc(256, "audiobuf", "param", s.ICount, 0)
-	if err != nil {
-		return 0
-	}
-	delete(ks.Allocs, addr)
-	if e.Opts.Annotations {
-		for i := uint32(0); i < 8; i++ {
-			b := e.K.FreshSymbol(s, fmt.Sprintf("sample_%d", i), expr.OriginPacket)
-			s.Mem.Write(addr+i, 1, b)
-		}
-	} else {
-		for i := uint32(0); i < 8; i++ {
-			s.Mem.Write(addr+i, 1, expr.Const(i*17&0xFF))
-		}
-	}
-	return addr
 }

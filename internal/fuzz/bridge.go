@@ -24,14 +24,16 @@ import (
 //     scratch (the classic concolic "driller" move against path explosion).
 
 // FromBug converts a symbolic-engine bug into a corpus feed: every symbol
-// minted on the bug path contributes its solved value, in creation order —
-// the same order the concrete executor consumes feed words (the executor's
-// workload construction mirrors core/workload.go injection for injection;
-// TestHybridLoop's race reproduction is the regression guard for that
-// alignment). Values are passed through encodeWord so the executor's clamp
-// reproduces the exact witness. Interrupt injections map to the fuzzer's
-// IRQ schedule; annotation forks taken on the path bias the feed's fork
-// stream toward the alternatives.
+// minted on the bug path contributes its solved value, in creation order.
+// The executor consumes feed words in that same order, because both modes
+// build the workload from the one plan in package workload
+// (TestBridgedFeedAlignment checks it). Values pass through encodeWord so
+// the executor's clamp reproduces the exact witness. Interrupt injections
+// map to the fuzzer's IRQ schedule, and each annotation fork the path took
+// adds a fork byte choosing the alternative. The feed encodes neither the
+// forks the path declined nor the scenario edges it took, so the fork
+// stream can drift from the path's decisions: a bug behind a non-default
+// edge needs its fork bits steered.
 func FromBug(b *core.Bug) *Feed {
 	f := &Feed{}
 	for _, ev := range b.Trace {

@@ -15,6 +15,7 @@ import (
 	"repro/internal/kernel"
 	"repro/internal/solver"
 	"repro/internal/vm"
+	"repro/internal/workload"
 )
 
 // Options configure one concrete executor.
@@ -31,8 +32,6 @@ type Options struct {
 	MaxInterrupts int
 	// LoopThreshold is the infinite-loop heuristic's per-block repeat bound.
 	LoopThreshold uint64
-	// MaxDPCs bounds the DPC-drain phase.
-	MaxDPCs int
 	// Registry overrides/extends the default registry hive.
 	Registry map[string]uint32
 	// Persist enables persistent-mode execution: the executor snapshots the
@@ -79,7 +78,6 @@ func DefaultOptions() Options {
 		MaxStepsPerEntry: 30_000,
 		MaxInterrupts:    4,
 		LoopThreshold:    1_000,
-		MaxDPCs:          8,
 		LazyTrace:        true,
 	}
 }
@@ -177,6 +175,12 @@ type Executor struct {
 	mem  *checkers.MemoryChecker
 	leak checkers.LeakChecker
 
+	// plan is the workload every execution walks; gate is the index of its
+	// last gate node (Initialize), 0 when DriverEntry is the only one.
+	plan []workload.Phase
+	gate int
+	in   workload.Inputs
+
 	reader    feedReader
 	loop      *checkers.LoopChecker
 	runBase   uint64 // m.Steps at execution start
@@ -210,6 +214,13 @@ func NewExecutor(img *binimg.Image, cov *exerciser.Coverage, opts Options) *Exec
 	if opts.Annotations {
 		annot.InstallAll(e.k)
 	}
+	e.plan = workload.Plan(img, "")
+	for i, p := range e.plan {
+		if p.Gate {
+			e.gate = i
+		}
+	}
+	e.in = workload.Inputs{K: e.k, Annotations: opts.Annotations}
 	e.k.SymbolPolicy = e.symbolPolicy
 	e.k.ForkPolicy = e.forkPolicy
 	if opts.NoSuperblocks {
@@ -280,11 +291,11 @@ func (e *Executor) ReadRegister(port bool, addr, size uint32) uint32 {
 // requirement of §7 — e.g. a packet length beyond the allocated payload
 // would be a false positive). The bridge shares this function: LiftFeed
 // applies it before pinning engine symbols, and encodeWord is its inverse
-// for bridging solved values back into feeds. Keep the three in sync.
+// for bridging solved values back into feeds.
 func clampWord(name string, origin expr.Origin, v uint32) uint32 {
 	switch {
 	case strings.HasPrefix(name, "packet_len"):
-		return 14 + v%51 // engine constrains 14 <= len <= 64
+		return workload.MinPacketLen + v%(workload.MaxPacketLen-workload.MinPacketLen+1)
 	case origin == expr.OriginRegistry:
 		return v & 0x7FFFFFFF // engine constrains symb >= 0 (signed)
 	case strings.HasPrefix(name, "packet_byte_") || strings.HasPrefix(name, "sample_"):
@@ -299,8 +310,8 @@ func clampWord(name string, origin expr.Origin, v uint32) uint32 {
 // assign: registry values are already non-negative, byte symbols are used
 // masked on both sides).
 func encodeWord(name string, v uint32) uint32 {
-	if strings.HasPrefix(name, "packet_len") && v >= 14 && v <= 64 {
-		return v - 14
+	if strings.HasPrefix(name, "packet_len") && v >= workload.MinPacketLen && v <= workload.MaxPacketLen {
+		return v - workload.MinPacketLen
 	}
 	return v
 }
@@ -383,13 +394,13 @@ func (e *Executor) Run(feed *Feed) *ExecResult {
 		}
 		e.resumeFrom(sn, feed, res)
 		s := e.m.ResumeState(sn.state)
-		if sn.stage == stageBooted {
-			fin = e.classWorkload(s, res)
-		} else {
-			fin = e.dataWorkload(s, res)
+		done := 0
+		if sn.stage == stageInitialized {
+			done = e.gate
 		}
+		fin = e.walk(s, e.route(done, s), res)
 	} else {
-		fin = e.runWorkload(e.bootState(), res)
+		fin = e.walk(e.bootState(), 0, res)
 	}
 
 	e.flushCoverage()
@@ -544,238 +555,83 @@ func (e *Executor) bootState() *vm.State {
 	return s
 }
 
-// runWorkload drives the workload chain from a cold boot: DriverEntry, then
-// the class workload the OS would run, concretely, one path. It returns the
-// state the execution ended on.
-func (e *Executor) runWorkload(s *vm.State, res *ExecResult) *vm.State {
-	s, ok := e.runEntry(s, "DriverEntry", e.img.Entry, nil, res)
-	if !ok {
-		e.recordTerminal(s, res)
-		return s
-	}
-	e.recordSnapshot(stageBooted, s, res)
-	return e.classWorkload(s, res)
-}
-
-// classWorkload runs the Initialize gate for the device class and, on
-// success, the data path. A boot that ends the execution here — Initialize
-// crashed, was killed, or returned non-success, or the class has no
-// workload — is memoized as a terminal snapshot: its outcome was a pure
-// function of the consumed boot prefix.
-func (e *Executor) classWorkload(s *vm.State, res *ExecResult) *vm.State {
-	var initPC uint32
-	switch e.img.Device.Class {
-	case binimg.ClassNetwork:
-		if m := kernel.Of(s).Miniport; m != nil {
-			initPC = m.InitializePC
+// walk runs the workload plan concretely along one path, from node i on,
+// and returns the state the execution ended on. A node whose entry is not
+// registered is skipped; a gate that is not registered or does not return
+// success ends the execution, as does any crash or kill. Feed fork bits
+// choose among a node's edges. The state after DriverEntry and after the
+// last gate is snapshotted for persistent mode; an execution that ends at
+// or before that gate without crashing is memoized as a terminal snapshot,
+// since the consumed boot prefix alone decided it.
+func (e *Executor) walk(s *vm.State, i int, res *ExecResult) *vm.State {
+	last := i
+	for ; i >= 0; i = e.route(i, s) {
+		last = i
+		p := &e.plan[i]
+		ok := true
+		switch {
+		case p.Drain:
+			for n := 0; ok && n < workload.MaxDPCRounds && p.Applies(s); n++ {
+				s, ok, _ = e.runEntry(s, p, res)
+			}
+		case p.Applies(s):
+			var status uint32
+			s, ok, status = e.runEntry(s, p, res)
+			ok = ok && (!p.Gate || status == kernel.StatusSuccess)
+		default:
+			ok = !p.Gate
 		}
-	case binimg.ClassAudio:
-		if a := kernel.Of(s).Audio; a != nil {
-			initPC = a.InitializePC
-		}
-	case binimg.ClassStorage:
-		if st := kernel.Of(s).Storage; st != nil {
-			initPC = st.InitializePC
-		}
-	default:
-		e.recordTerminal(s, res)
-		return s
-	}
-	adapter := expr.Const(adapterHandle)
-	s2, ok, status := e.runEntryStatus(s, "Initialize", initPC, []*expr.Expr{adapter}, res)
-	if !ok || status != kernel.StatusSuccess {
-		// The OS only exercises the data path — and eventually Halt — on an
-		// adapter that initialized successfully.
-		e.recordTerminal(s2, res)
-		return s2
-	}
-	e.recordSnapshot(stageInitialized, s2, res)
-	return e.dataWorkload(s2, res)
-}
-
-// dataWorkload exercises the post-Initialize phases for the device class.
-func (e *Executor) dataWorkload(s *vm.State, res *ExecResult) *vm.State {
-	switch e.img.Device.Class {
-	case binimg.ClassNetwork:
-		return e.networkData(s, res)
-	case binimg.ClassAudio:
-		return e.audioData(s, res)
-	case binimg.ClassStorage:
-		return e.storageData(s, res)
-	}
-	return s
-}
-
-// adapterHandle mirrors the workload generator's opaque per-adapter context.
-const adapterHandle uint32 = 0x7000_0001
-
-func (e *Executor) networkData(s *vm.State, res *ExecResult) *vm.State {
-	// Entry PCs and kernel state are re-read from the live state after
-	// every phase: runEntry may return a forked successor whose KState is a
-	// distinct object.
-	mp := func() *kernel.MiniportChars {
-		if m := kernel.Of(s).Miniport; m != nil {
-			return m
-		}
-		return &kernel.MiniportChars{}
-	}
-	adapter := expr.Const(adapterHandle)
-	var ok bool
-
-	if pkt := e.makePacket(s); pkt != 0 {
-		if s, ok = e.runEntry(s, "Send", mp().SendPC, []*expr.Expr{adapter, expr.Const(pkt)}, res); !ok {
-			return s
-		}
-	}
-	if s, ok = e.runEntry(s, "QueryInformation", mp().QueryInfoPC, e.infoArgs(s, adapter, kernel.OIDGenSupportedList), res); !ok {
-		return s
-	}
-	if s, ok = e.runEntry(s, "SetInformation", mp().SetInfoPC, e.infoArgs(s, adapter, kernel.OIDGenCurrentPacketFil), res); !ok {
-		return s
-	}
-	if s, ok = e.runISR(s, adapter, res); !ok {
-		return s
-	}
-	if s, ok = e.drainDPCs(s, res); !ok {
-		return s
-	}
-	s, _ = e.runEntry(s, "Halt", mp().HaltPC, []*expr.Expr{adapter}, res)
-	return s
-}
-
-func (e *Executor) audioData(s *vm.State, res *ExecResult) *vm.State {
-	au := func() *kernel.AudioChars {
-		if a := kernel.Of(s).Audio; a != nil {
-			return a
-		}
-		return &kernel.AudioChars{}
-	}
-	adapter := expr.Const(adapterHandle)
-	var ok bool
-
-	if buf := e.makeAudioBuffer(s); buf != 0 {
-		if s, ok = e.runEntry(s, "Play", au().PlayPC, []*expr.Expr{adapter, expr.Const(buf), expr.Const(256)}, res); !ok {
-			return s
-		}
-	}
-	if s, ok = e.runISR(s, adapter, res); !ok {
-		return s
-	}
-	if s, ok = e.drainDPCs(s, res); !ok {
-		return s
-	}
-	if s, ok = e.runEntry(s, "Stop", au().StopPC, []*expr.Expr{adapter}, res); !ok {
-		return s
-	}
-	s, _ = e.runEntry(s, "Halt", au().HaltPC, []*expr.Expr{adapter}, res)
-	return s
-}
-
-// storageData exercises the storage data path plus ONE scenario-graph
-// alternative per execution: feed fork-bits pick surprise removal,
-// suspend/resume, or IRP cancellation — the concrete mirror of the
-// symbolic scenario graph's alternative edges (core/pipeline.go
-// storagePhases), so mutation of the fork-bit stream walks every branch.
-func (e *Executor) storageData(s *vm.State, res *ExecResult) *vm.State {
-	sc := func() *kernel.StorageChars {
-		if st := kernel.Of(s).Storage; st != nil {
-			return st
-		}
-		return &kernel.StorageChars{}
-	}
-	adapter := expr.Const(adapterHandle)
-	var ok bool
-
-	if buf := e.makeStorageBuffer(s); buf != 0 {
-		if s, ok = e.runEntry(s, "Read", sc().ReadPC, []*expr.Expr{adapter, expr.Const(buf), expr.Const(0x80)}, res); !ok {
-			return s
-		}
-		if s, ok = e.runEntry(s, "Write", sc().WritePC, []*expr.Expr{adapter, expr.Const(buf), expr.Const(0x80)}, res); !ok {
-			return s
-		}
-	}
-	if s, ok = e.runISR(s, adapter, res); !ok {
-		return s
-	}
-	removal := e.reader.forkBit()
-	suspend := !removal && e.reader.forkBit()
-	switch {
-	case removal:
-		// The card is gone before the driver hears about it; every
-		// hardware read from here on returns all-ones.
-		hw.Of(s).Removed = true
-		kernel.Of(s).Removed = true
-		if s, ok = e.runEntry(s, "SurpriseRemoval", sc().PnpPC, []*expr.Expr{adapter, expr.Const(kernel.IrpMnSurpriseRemoval)}, res); !ok {
-			return s
-		}
-		if s, ok = e.drainDPCs(s, res); !ok {
-			return s
-		}
-		if s, ok = e.runEntry(s, "RemoveDevice", sc().PnpPC, []*expr.Expr{adapter, expr.Const(kernel.IrpMnRemoveDevice)}, res); !ok {
-			return s
-		}
-	case suspend:
-		if s, ok = e.runEntry(s, "Suspend", sc().PowerPC, []*expr.Expr{adapter, expr.Const(kernel.IrpMnSetPower), expr.Const(kernel.PowerDeviceD3)}, res); !ok {
-			return s
-		}
-		if s, ok = e.runEntry(s, "Resume", sc().PowerPC, []*expr.Expr{adapter, expr.Const(kernel.IrpMnSetPower), expr.Const(kernel.PowerDeviceD0)}, res); !ok {
-			return s
-		}
-		if s, ok = e.drainDPCs(s, res); !ok {
-			return s
-		}
-	default:
-		if s, ok = e.runEntry(s, "CancelIo", sc().CancelPC, []*expr.Expr{adapter}, res); !ok {
-			return s
-		}
-		if s, ok = e.drainDPCs(s, res); !ok {
-			return s
-		}
-	}
-	s, _ = e.runEntry(s, "Halt", sc().HaltPC, []*expr.Expr{adapter}, res)
-	return s
-}
-
-func (e *Executor) runISR(s *vm.State, adapter *expr.Expr, res *ExecResult) (*vm.State, bool) {
-	ks := kernel.Of(s)
-	if !ks.ISRRegistered || ks.ISRPC == 0 {
-		return s, true
-	}
-	ks.IRQL = kernel.DeviceLevel
-	return e.runEntry(s, "ISR", ks.ISRPC, []*expr.Expr{adapter}, res)
-}
-
-func (e *Executor) drainDPCs(s *vm.State, res *ExecResult) (*vm.State, bool) {
-	for n := 0; n < e.opts.MaxDPCs; n++ {
-		ks := kernel.Of(s)
-		if len(ks.PendingDPCs) == 0 {
+		if !ok {
 			break
 		}
-		dpc := ks.TakeDPC()
-		ks.IRQL = kernel.DispatchLevel
-		ks.InDpc = true
-		var ok bool
-		if s, ok = e.runEntry(s, "DPC:"+dpc.Label, dpc.FuncPC, []*expr.Expr{expr.Const(dpc.Ctx)}, res); !ok {
-			return s, false
+		switch {
+		case i == 0:
+			e.recordSnapshot(stageBooted, s, res)
+		case i == e.gate:
+			e.recordSnapshot(stageInitialized, s, res)
 		}
 	}
-	return s, true
-}
-
-// runEntry invokes one entry and steps it to completion. It returns the
-// state the path ended on (which may be a forked successor of s) and false
-// when the execution is over (crash, kill, or unresolvable entry).
-func (e *Executor) runEntry(s *vm.State, name string, pc uint32, args []*expr.Expr, res *ExecResult) (*vm.State, bool) {
-	fin, ok, _ := e.runEntryStatus(s, name, pc, args, res)
-	return fin, ok
-}
-
-func (e *Executor) runEntryStatus(s *vm.State, name string, pc uint32, args []*expr.Expr, res *ExecResult) (*vm.State, bool, uint32) {
-	if pc == 0 {
-		return s, true, kernel.StatusSuccess
+	if last <= e.gate {
+		e.recordTerminal(s, res)
 	}
+	return s
+}
+
+// route picks the node that follows node i on s: the next node for a nil
+// edge list, else one of the edges whose When holds, spending one feed
+// fork bit on each candidate but the last. -1 ends the walk.
+func (e *Executor) route(i int, s *vm.State) int {
+	succs := e.plan[i].Succs
+	if succs == nil {
+		if i+1 < len(e.plan) {
+			return i + 1
+		}
+		return -1
+	}
+	n := 0
+	for _, edge := range succs {
+		if edge.When == nil || edge.When(s) {
+			n++
+		}
+	}
+	for _, edge := range succs {
+		if edge.When != nil && !edge.When(s) {
+			continue
+		}
+		if n--; n == 0 || e.reader.forkBit() {
+			return edge.To
+		}
+	}
+	return -1
+}
+
+// runEntry invokes phase p's entry on s and steps it to completion. It
+// returns the state the path ended on (which may be a forked successor of
+// s), false when the execution is over (crash or kill), and the entry's
+// return status.
+func (e *Executor) runEntry(s *vm.State, p *workload.Phase, res *ExecResult) (*vm.State, bool, uint32) {
+	name := p.Enter(e.in, s)
 	res.Entries = append(res.Entries, name)
-	e.k.InvokeSym(s, name, pc, args...)
 	start := s.ICount
 	for s.Status == vm.StatusRunning {
 		if s.ICount-start >= e.opts.MaxStepsPerEntry {
@@ -870,92 +726,4 @@ func (e *Executor) recordCrash(s *vm.State, entry string, err error, res *ExecRe
 		Entry:       entry,
 		InInterrupt: s.InInterrupt > 0,
 	}
-}
-
-// makePacket mirrors the workload generator's one-packet Send payload
-// (core/workload.go makeSymbolicPacket), with feed-fed contents where the
-// engine would inject symbols. The injection sites must stay in the same
-// order as the engine's — the concolic bridge maps feed words to symbols
-// positionally (TestHybridLoop guards the alignment end-to-end).
-func (e *Executor) makePacket(s *vm.State) uint32 {
-	ks := kernel.Of(s)
-	const payload = 64
-	addr, err := ks.HeapAlloc(8+payload, "sendpkt", "packet", s.ICount, 0)
-	if err != nil {
-		return 0
-	}
-	delete(ks.Allocs, addr) // kernel-owned: the driver must not free it
-	data := addr + 8
-	s.Mem.Write(addr, 4, expr.Const(data))
-	if e.opts.Annotations {
-		s.Mem.Write(addr+4, 4, e.k.FreshSymbol(s, "packet_len", expr.OriginPacket))
-		for i := uint32(0); i < 16; i++ {
-			s.Mem.Write(data+i, 1, e.k.FreshSymbol(s, fmt.Sprintf("packet_byte_%d", i), expr.OriginPacket))
-		}
-	} else {
-		s.Mem.Write(addr+4, 4, expr.Const(42))
-		for i := uint32(0); i < 16; i++ {
-			s.Mem.Write(data+i, 1, expr.Const(uint32(0x40+i)))
-		}
-	}
-	for i := uint32(16); i < payload; i++ {
-		s.Mem.Write(data+i, 1, expr.Const(0))
-	}
-	return addr
-}
-
-func (e *Executor) infoArgs(s *vm.State, adapter *expr.Expr, concreteOID uint32) []*expr.Expr {
-	ks := kernel.Of(s)
-	buf, err := ks.HeapAlloc(64, "infobuf", "param", s.ICount, 0)
-	if err != nil {
-		return nil
-	}
-	delete(ks.Allocs, buf)
-	var oid *expr.Expr
-	if e.opts.Annotations {
-		oid = e.k.FreshSymbol(s, "oid", expr.OriginArgument)
-	} else {
-		oid = expr.Const(concreteOID)
-	}
-	return []*expr.Expr{adapter, oid, expr.Const(buf), expr.Const(64)}
-}
-
-// makeStorageBuffer mirrors core/workload.go makeStorageBuffer; the
-// injection sites must stay positionally aligned for the concolic bridge.
-func (e *Executor) makeStorageBuffer(s *vm.State) uint32 {
-	ks := kernel.Of(s)
-	addr, err := ks.HeapAlloc(128, "blkbuf", "param", s.ICount, 0)
-	if err != nil {
-		return 0
-	}
-	delete(ks.Allocs, addr)
-	if e.opts.Annotations {
-		for i := uint32(0); i < 8; i++ {
-			s.Mem.Write(addr+i, 1, e.k.FreshSymbol(s, fmt.Sprintf("blk_byte_%d", i), expr.OriginPacket))
-		}
-	} else {
-		for i := uint32(0); i < 8; i++ {
-			s.Mem.Write(addr+i, 1, expr.Const(i*9&0xFF))
-		}
-	}
-	return addr
-}
-
-func (e *Executor) makeAudioBuffer(s *vm.State) uint32 {
-	ks := kernel.Of(s)
-	addr, err := ks.HeapAlloc(256, "audiobuf", "param", s.ICount, 0)
-	if err != nil {
-		return 0
-	}
-	delete(ks.Allocs, addr)
-	if e.opts.Annotations {
-		for i := uint32(0); i < 8; i++ {
-			s.Mem.Write(addr+i, 1, e.k.FreshSymbol(s, fmt.Sprintf("sample_%d", i), expr.OriginPacket))
-		}
-	} else {
-		for i := uint32(0); i < 8; i++ {
-			s.Mem.Write(addr+i, 1, expr.Const(i*17&0xFF))
-		}
-	}
-	return addr
 }

@@ -12,6 +12,7 @@ import (
 	"repro/internal/kernel"
 	"repro/internal/solver"
 	"repro/internal/vm"
+	"repro/internal/workload"
 )
 
 // Result reports the outcome of replaying a trace.
@@ -47,6 +48,11 @@ type replayer struct {
 	mem  *checkers.MemoryChecker
 	leak checkers.LeakChecker
 
+	// plan supplies each entry's argument builder; in mints the injected
+	// values through the kernel's symbol policy (recorded inputs).
+	plan []workload.Phase
+	in   workload.Inputs
+
 	symQueue  []SymbolRecord
 	intrQueue []Record
 	altQueue  []Record
@@ -63,6 +69,17 @@ func Replay(f *File, img *binimg.Image) (*Result, error) {
 	if img.Name != f.Driver {
 		return nil, fmt.Errorf("trace: image is %q but trace was recorded on %q", img.Name, f.Driver)
 	}
+	r, s := newReplayer(f, img)
+	if err := r.run(s); err != nil {
+		return nil, err
+	}
+	r.res.Steps = r.m.Steps.Load()
+	return r.res, nil
+}
+
+// newReplayer builds the replay machine and kernel for f on img and
+// returns the boot state.
+func newReplayer(f *File, img *binimg.Image) (*replayer, *vm.State) {
 	r := &replayer{
 		file:      f,
 		symQueue:  append([]SymbolRecord(nil), f.Symbols...),
@@ -84,6 +101,8 @@ func Replay(f *File, img *binimg.Image) (*Result, error) {
 	}
 	r.k.SymbolPolicy = r.symbolPolicy
 	r.k.ForkPolicy = r.forkPolicy
+	r.plan = workload.Plan(img, "")
+	r.in = workload.Inputs{K: r.k, Annotations: f.Annotations}
 
 	s := r.m.NewRootState()
 	ks := kernel.NewKState()
@@ -95,12 +114,7 @@ func Replay(f *File, img *binimg.Image) (*Result, error) {
 		ks.Registry[k] = v
 	}
 	s.Kernel = ks
-
-	if err := r.run(s); err != nil {
-		return nil, err
-	}
-	r.res.Steps = r.m.Steps.Load()
-	return r.res, nil
+	return r, s
 }
 
 func (r *replayer) diverge(format string, args ...any) {
@@ -163,13 +177,10 @@ func (r *replayer) maybeInject(s *vm.State) {
 	}
 }
 
-// resolveEntry prepares the invocation of the named entry on s, mirroring
-// the workload generator's conventions.
+// resolveEntry prepares the invocation of the named entry on s: the switch
+// below resolves the entry's PC, the workload plan builds its arguments.
 func (r *replayer) resolveEntry(s *vm.State, name string) (uint32, []*expr.Expr, bool) {
-	const adapterHandle uint32 = 0x7000_0001
 	ks := kernel.Of(s)
-	adapter := expr.Const(adapterHandle)
-
 	pcOf := func(mini func(*kernel.MiniportChars) uint32, audio func(*kernel.AudioChars) uint32) uint32 {
 		if ks.Miniport != nil && mini != nil {
 			return mini(ks.Miniport)
@@ -180,118 +191,48 @@ func (r *replayer) resolveEntry(s *vm.State, name string) (uint32, []*expr.Expr,
 		return 0
 	}
 
+	var pc uint32
 	switch name {
 	case "DriverEntry":
-		return r.m.Img.Entry, nil, true
+		pc = r.m.Img.Entry
 	case "Initialize":
-		pc := pcOf(func(m *kernel.MiniportChars) uint32 { return m.InitializePC },
+		pc = pcOf(func(m *kernel.MiniportChars) uint32 { return m.InitializePC },
 			func(a *kernel.AudioChars) uint32 { return a.InitializePC })
-		return pc, []*expr.Expr{adapter}, pc != 0
 	case "Send":
-		pc := pcOf(func(m *kernel.MiniportChars) uint32 { return m.SendPC }, nil)
-		pkt := r.makePacket(s)
-		return pc, []*expr.Expr{adapter, expr.Const(pkt)}, pc != 0
+		pc = pcOf(func(m *kernel.MiniportChars) uint32 { return m.SendPC }, nil)
 	case "QueryInformation":
-		pc := pcOf(func(m *kernel.MiniportChars) uint32 { return m.QueryInfoPC }, nil)
-		return pc, r.infoArgs(s, adapter), pc != 0
+		pc = pcOf(func(m *kernel.MiniportChars) uint32 { return m.QueryInfoPC }, nil)
 	case "SetInformation":
-		pc := pcOf(func(m *kernel.MiniportChars) uint32 { return m.SetInfoPC }, nil)
-		return pc, r.infoArgs(s, adapter), pc != 0
+		pc = pcOf(func(m *kernel.MiniportChars) uint32 { return m.SetInfoPC }, nil)
 	case "Halt":
-		pc := pcOf(func(m *kernel.MiniportChars) uint32 { return m.HaltPC },
+		pc = pcOf(func(m *kernel.MiniportChars) uint32 { return m.HaltPC },
 			func(a *kernel.AudioChars) uint32 { return a.HaltPC })
-		return pc, []*expr.Expr{adapter}, pc != 0
 	case "ISR":
-		if !ks.ISRRegistered {
-			return 0, nil, false
+		if ks.ISRRegistered {
+			pc = ks.ISRPC
 		}
-		ks.IRQL = kernel.DeviceLevel
-		return ks.ISRPC, []*expr.Expr{adapter}, true
 	case "Play":
-		pc := pcOf(nil, func(a *kernel.AudioChars) uint32 { return a.PlayPC })
-		buf := r.makeAudioBuffer(s)
-		return pc, []*expr.Expr{adapter, expr.Const(buf), expr.Const(256)}, pc != 0
+		pc = pcOf(nil, func(a *kernel.AudioChars) uint32 { return a.PlayPC })
 	case "Stop":
-		pc := pcOf(nil, func(a *kernel.AudioChars) uint32 { return a.StopPC })
-		return pc, []*expr.Expr{adapter}, pc != 0
-	}
-	if len(name) > 4 && name[:4] == "DPC:" {
-		if len(ks.PendingDPCs) == 0 {
-			return 0, nil, false
+		pc = pcOf(nil, func(a *kernel.AudioChars) uint32 { return a.StopPC })
+	default:
+		if len(name) > 4 && name[:4] == "DPC:" && len(ks.PendingDPCs) > 0 {
+			dpc := ks.PendingDPCs[0]
+			ks.PendingDPCs = ks.PendingDPCs[1:]
+			ks.IRQL = kernel.DispatchLevel
+			ks.InDpc = true
+			return dpc.FuncPC, []*expr.Expr{expr.Const(dpc.Ctx)}, true
 		}
-		dpc := ks.PendingDPCs[0]
-		ks.PendingDPCs = ks.PendingDPCs[1:]
-		ks.IRQL = kernel.DispatchLevel
-		ks.InDpc = true
-		return dpc.FuncPC, []*expr.Expr{expr.Const(dpc.Ctx)}, true
+	}
+	if pc == 0 {
+		return 0, nil, false
+	}
+	for i := range r.plan {
+		if r.plan[i].Name == name {
+			return pc, r.plan[i].Prepare(r.in, s), true
+		}
 	}
 	return 0, nil, false
-}
-
-// makePacket mirrors the workload's symbolic packet, with recorded values.
-func (r *replayer) makePacket(s *vm.State) uint32 {
-	ks := kernel.Of(s)
-	const payload = 64
-	addr, err := ks.HeapAlloc(8+payload, "sendpkt", "packet", s.ICount, 0)
-	if err != nil {
-		return 0
-	}
-	delete(ks.Allocs, addr)
-	data := addr + 8
-	s.Mem.Write(addr, 4, expr.Const(data))
-	if r.file.Annotations {
-		length := r.k.FreshSymbol(s, "packet_len", expr.OriginPacket)
-		s.Mem.Write(addr+4, 4, length)
-		for i := uint32(0); i < 16; i++ {
-			b := r.k.FreshSymbol(s, fmt.Sprintf("packet_byte_%d", i), expr.OriginPacket)
-			s.Mem.Write(data+i, 1, b)
-		}
-	} else {
-		s.Mem.Write(addr+4, 4, expr.Const(42))
-		for i := uint32(0); i < 16; i++ {
-			s.Mem.Write(data+i, 1, expr.Const(uint32(0x40+i)))
-		}
-	}
-	for i := uint32(16); i < payload; i++ {
-		s.Mem.Write(data+i, 1, expr.Const(0))
-	}
-	return addr
-}
-
-func (r *replayer) infoArgs(s *vm.State, adapter *expr.Expr) []*expr.Expr {
-	ks := kernel.Of(s)
-	buf, err := ks.HeapAlloc(64, "infobuf", "param", s.ICount, 0)
-	if err != nil {
-		return []*expr.Expr{adapter, expr.Const(0), expr.Const(0), expr.Const(64)}
-	}
-	delete(ks.Allocs, buf)
-	var oid *expr.Expr
-	if r.file.Annotations {
-		oid = r.k.FreshSymbol(s, "oid", expr.OriginArgument)
-	} else {
-		oid = expr.Const(kernel.OIDGenSupportedList)
-	}
-	return []*expr.Expr{adapter, oid, expr.Const(buf), expr.Const(64)}
-}
-
-func (r *replayer) makeAudioBuffer(s *vm.State) uint32 {
-	ks := kernel.Of(s)
-	addr, err := ks.HeapAlloc(256, "audiobuf", "param", s.ICount, 0)
-	if err != nil {
-		return 0
-	}
-	delete(ks.Allocs, addr)
-	if r.file.Annotations {
-		for i := uint32(0); i < 8; i++ {
-			b := r.k.FreshSymbol(s, fmt.Sprintf("sample_%d", i), expr.OriginPacket)
-			s.Mem.Write(addr+i, 1, b)
-		}
-	} else {
-		for i := uint32(0); i < 8; i++ {
-			s.Mem.Write(addr+i, 1, expr.Const(i*17&0xFF))
-		}
-	}
-	return addr
 }
 
 // run executes the recorded entry chain and checks the failure.

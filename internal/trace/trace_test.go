@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/corpus"
+	"repro/internal/kernel"
 )
 
 // findBugs runs DDT on a corpus driver and returns the engine + report.
@@ -110,5 +111,30 @@ func TestReplayRejectsWrongImage(t *testing.T) {
 func TestUnmarshalRejectsGarbage(t *testing.T) {
 	if _, err := Unmarshal([]byte("not a trace")); err == nil {
 		t.Error("garbage accepted")
+	}
+}
+
+// TestReplayInfoOIDsWithoutAnnotations: in annotation-free mode entry
+// arguments stay concrete, and the replay passes the same representative
+// OIDs as the workload: OID_GEN_SUPPORTED_LIST to QueryInformation and
+// OID_GEN_CURRENT_PACKET_FILTER to SetInformation.
+func TestReplayInfoOIDsWithoutAnnotations(t *testing.T) {
+	img, err := corpus.Build("rtl8029", corpus.Buggy)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, s := newReplayer(&File{Driver: img.Name}, img)
+	kernel.Of(s).Miniport = &kernel.MiniportChars{QueryInfoPC: 0x1000, SetInfoPC: 0x2000}
+	for entry, want := range map[string]uint32{
+		"QueryInformation": kernel.OIDGenSupportedList,
+		"SetInformation":   kernel.OIDGenCurrentPacketFil,
+	} {
+		_, args, ok := r.resolveEntry(s, entry)
+		if !ok || len(args) < 2 {
+			t.Fatalf("%s: unresolved (args %v)", entry, args)
+		}
+		if !args[1].IsConst() || args[1].ConstVal() != want {
+			t.Errorf("%s: OID argument %v, want %#x", entry, args[1], want)
+		}
 	}
 }
